@@ -1,9 +1,11 @@
 // Command maya-serve is the long-running Maya prediction service: an
-// HTTP/JSON daemon fronting one shared predictor with request
-// admission (per-tenant token buckets via the X-Maya-Tenant header),
-// single-flight coalescing of identical predictions, a bounded
-// prediction worker pool, a fingerprinted capture cache, and
-// warm-started estimator suites.
+// HTTP/JSON daemon fronting one shared predictor with per-tenant
+// token buckets (the X-Maya-Tenant header), one admission gate per
+// prediction (a cap of -queue predictions in flight, overload
+// shedding, circuit breakers, degraded stale answers), single-flight
+// coalescing of identical predictions, a bounded prediction worker
+// pool, a fingerprinted capture cache, and warm-started estimator
+// suites.
 //
 //	maya-serve -addr :8080 -cluster 32xH100 -workers 8 -preload 8xV100,8xA40/vision
 //
@@ -21,11 +23,13 @@
 // predictions finish, the trace store is snapshotted, then the
 // listener closes and the process exits zero.
 //
-// Resilience knobs: -shed-target/-shed-interval shape CoDel-style
+// Resilience knobs: -queue caps predictions in flight (a batch of k
+// counts k; an arrival beyond the cap is shed with 503 and
+// X-Maya-Shed: queue), -shed-target/-shed-interval shape CoDel-style
 // overload shedding, -breaker-threshold/-breaker-probe the
 // per-dependency circuit breakers, -degrade-cache the stale-result
-// cache served (marked `"degraded": true`) while shedding or with a
-// breaker open. -state persists the trace store across restarts
+// cache served (marked `"degraded": true`) for any shed verdict or an
+// open breaker. -state persists the trace store across restarts
 // (atomic snapshots, per-entry checksum validation at boot). -chaos
 // loads a seeded fault-injection plan — the deterministic chaos
 // harness used by the CI chaos smoke:
@@ -61,7 +65,7 @@ func main() {
 		congestion  = flag.Bool("congestion", false, "resolve collectives against link-level contention on every prediction")
 		profile     = flag.String("profile", "llm", "estimator profile: llm | vision | all")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "prediction worker pool size")
-		queue       = flag.Int("queue", 0, "admission queue capacity (default 4*workers)")
+		queue       = flag.Int("queue", 0, "predictions in flight before queue-full shedding (default 4*workers)")
 		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant sustained predictions/sec (0 disables throttling)")
 		tenantBurst = flag.Int("tenant-burst", 32, "per-tenant burst allowance")
 		capCache    = flag.Int("capture-cache", 256, "capture cache capacity (distinct topologies retained)")

@@ -6,31 +6,22 @@ import (
 	"time"
 )
 
-// Admission errors, matchable with errors.Is. The handler layer maps
-// them to 429 (throttled) and 503 (queue full).
-var (
-	// ErrThrottled marks a request rejected by its tenant's token
-	// bucket: the tenant is over its sustained rate and burst.
-	ErrThrottled = errors.New("serve: tenant over rate limit")
-	// ErrQueueFull marks a request rejected because the service-wide
-	// admission queue is at capacity.
-	ErrQueueFull = errors.New("serve: admission queue full")
-)
+// ErrThrottled marks a request rejected by its tenant's token bucket:
+// the tenant is over its sustained rate and burst. The handler layer
+// maps it to 429.
+var ErrThrottled = errors.New("serve: tenant over rate limit")
 
 // maxTenantBuckets bounds the tenant-bucket map; beyond it the
 // longest-idle buckets are pruned. An idle bucket regenerates at full
 // burst, which only ever favors the returning tenant.
 const maxTenantBuckets = 4096
 
-// Admission is the front door of the service: a per-tenant token
-// bucket (fairness — one hot tenant cannot starve the rest) in front
-// of a bounded service-wide slot count (backpressure — beyond it,
-// load-shed with 503 rather than queue without bound). Both checks
-// are synchronous and non-blocking: an admitted request holds its
-// slot until release; a rejected one costs nothing downstream.
+// Admission is the fairness check at the front door: a per-tenant
+// token bucket, so one hot tenant cannot starve the rest. It is
+// charged once per HTTP request, synchronously and without blocking;
+// capacity — how many predictions may be in flight — is the gate's
+// decision, not admission's.
 type Admission struct {
-	slots chan struct{}
-
 	rate  float64 // tokens per second per tenant; <= 0 disables
 	burst float64
 
@@ -46,18 +37,13 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// NewAdmission builds an admission gate with the given total slot
-// capacity (minimum 1) and per-tenant rate/burst. rate <= 0 disables
-// tenant throttling (every tenant passes straight to the slot check).
-func NewAdmission(capacity int, rate float64, burst int) *Admission {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewAdmission builds the tenant check with the given per-tenant
+// rate/burst. rate <= 0 disables throttling (every tenant passes).
+func NewAdmission(rate float64, burst int) *Admission {
 	if burst < 1 {
 		burst = 1
 	}
 	return &Admission{
-		slots:   make(chan struct{}, capacity),
 		rate:    rate,
 		burst:   float64(burst),
 		now:     time.Now,
@@ -66,23 +52,12 @@ func NewAdmission(capacity int, rate float64, burst int) *Admission {
 }
 
 // Admit charges the tenant n tokens (a batch of k predictions costs
-// k) and claims one service slot. On success it returns the release
-// function the caller must invoke when the request completes; on
-// failure it returns ErrThrottled or ErrQueueFull and nothing is
-// held.
-func (a *Admission) Admit(tenant string, n int) (release func(), err error) {
-	if n < 1 {
-		n = 1
+// k), returning ErrThrottled when the bucket cannot cover them.
+func (a *Admission) Admit(tenant string, n int) error {
+	if !a.allow(tenant, float64(max(n, 1))) {
+		return ErrThrottled
 	}
-	if !a.allow(tenant, float64(n)) {
-		return nil, ErrThrottled
-	}
-	select {
-	case a.slots <- struct{}{}:
-		return func() { <-a.slots }, nil
-	default:
-		return nil, ErrQueueFull
-	}
+	return nil
 }
 
 // allow runs the tenant's token bucket: refill by elapsed time, then
@@ -122,9 +97,3 @@ func (a *Admission) pruneLocked(now time.Time) {
 		}
 	}
 }
-
-// Depth reports how many admitted requests currently hold slots.
-func (a *Admission) Depth() int { return len(a.slots) }
-
-// Capacity reports the total slot capacity.
-func (a *Admission) Capacity() int { return cap(a.slots) }

@@ -184,9 +184,6 @@ func (b *Breaker) Recoveries() int64 { return b.recoveries.Load() }
 // dependency.
 func (b *Breaker) Rejected() int64 { return b.rejected.Load() }
 
-// ProbeAfter is the open → half-open probe interval.
-func (b *Breaker) ProbeAfter() time.Duration { return b.probeAfter }
-
 // outcomeOf classifies a prediction error for the breaker: nil is
 // success, the caller's own cancellation is aborted, everything else
 // — dependency errors, recovered panics, injected chaos — is failure.

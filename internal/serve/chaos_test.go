@@ -127,14 +127,14 @@ func TestChaosDegradeAndRecover(t *testing.T) {
 	var elapsed time.Duration // the virtual chaos clock
 	s.chaos.elapsed = func() time.Duration { return elapsed }
 	clk := newBreakerClock()
-	s.pbreaker.now = clk.now
+	s.gate.pbreaker.now = clk.now
 
 	// Phase 1 — healthy: a fresh prediction lands in the stale cache.
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy predict: %d (%s)", resp.StatusCode, raw)
 	}
-	if got := s.degrade.len(); got != 1 {
+	if got := s.gate.degrade.len(); got != 1 {
 		t.Fatalf("degrade cache entries = %d, want 1", got)
 	}
 
@@ -146,7 +146,7 @@ func TestChaosDegradeAndRecover(t *testing.T) {
 			t.Fatalf("outage predict %d: %d (%s)", i, resp.StatusCode, raw)
 		}
 	}
-	if got := s.pbreaker.State(); got != BreakerOpen {
+	if got := s.gate.pbreaker.State(); got != BreakerOpen {
 		t.Fatalf("breaker state after outage failures = %v, want open", got)
 	}
 
@@ -187,10 +187,10 @@ func TestChaosDegradeAndRecover(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || fresh.Degraded {
 		t.Fatalf("post-recovery predict: status %d, degraded %v (%s)", resp.StatusCode, fresh.Degraded, raw)
 	}
-	if got := s.pbreaker.State(); got != BreakerClosed {
+	if got := s.gate.pbreaker.State(); got != BreakerClosed {
 		t.Fatalf("breaker state after recovery = %v, want closed", got)
 	}
-	if got := s.pbreaker.Recoveries(); got != 1 {
+	if got := s.gate.pbreaker.Recoveries(); got != 1 {
 		t.Fatalf("recoveries = %d, want 1", got)
 	}
 }

@@ -20,9 +20,8 @@ type coalescer struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	// leads counts computations executed; joins counts callers that
-	// attached to an in-flight computation instead.
-	leads atomic.Int64
+	// joins counts callers that attached to an in-flight computation
+	// instead of executing their own.
 	joins atomic.Int64
 }
 
@@ -65,7 +64,6 @@ func (c *coalescer) do(ctx context.Context, key string, fn func() (*predictOutco
 		}
 		f := &flight{ready: make(chan struct{})}
 		c.inflight[key] = f
-		c.leads.Add(1)
 		c.mu.Unlock()
 
 		f.out, f.err = fn()
@@ -78,14 +76,6 @@ func (c *coalescer) do(ctx context.Context, key string, fn func() (*predictOutco
 		close(f.ready)
 		return f.out, false, f.err
 	}
-}
-
-// waiters reports how many callers are currently attached (leader
-// included) — observability for tests and metrics.
-func (c *coalescer) inflightKeys() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.inflight)
 }
 
 func isCtxErr(err error) bool {

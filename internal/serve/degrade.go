@@ -29,7 +29,6 @@ type degradeCache struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	serves atomic.Int64
 }
 
 type staleEntry struct {

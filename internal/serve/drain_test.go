@@ -44,14 +44,14 @@ func TestDrainUnderLoadWithBreakerOpen(t *testing.T) {
 		t.Fatalf("warmup predict: %d (%s)", resp.StatusCode, raw)
 	}
 	clk := newBreakerClock()
-	s.pbreaker.now = clk.now
+	s.gate.pbreaker.now = clk.now
 	for i := 0; i < s.cfg.BreakerThreshold; i++ {
-		if !s.pbreaker.Allow() {
+		if !s.gate.pbreaker.Allow() {
 			t.Fatalf("breaker rejected before the threshold (i=%d)", i)
 		}
-		s.pbreaker.Observe(breakerFailure)
+		s.gate.pbreaker.Observe(breakerFailure)
 	}
-	if got := s.pbreaker.State(); got != BreakerOpen {
+	if got := s.gate.pbreaker.State(); got != BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 

@@ -104,15 +104,16 @@ type Metrics struct {
 	Requests  atomic.Int64 // everything that reached the service layer
 	OK        atomic.Int64 // 200s
 	BadInput  atomic.Int64 // 400s
-	Throttled atomic.Int64 // 429s (tenant token bucket or overload shed)
-	Rejected  atomic.Int64 // 503s (queue full, breaker open or draining)
+	Throttled atomic.Int64 // 429s (tenant token bucket, deadline or overload shed)
+	Rejected  atomic.Int64 // 503s (queue shed, breaker open or draining)
 	Deadline  atomic.Int64 // 504s (request deadline exceeded)
 	Failed    atomic.Int64 // 500s (pipeline errors)
 
-	// Resilience outcomes. Shed counts queue-delay/deadline-aware
-	// 429s from the Shedder (a subset of the 429s Throttled counts);
-	// Degraded counts stale results served with `"degraded": true`
-	// while shedding or with a breaker open.
+	// Resilience outcomes. Shed counts every shed verdict of the
+	// gate — queue cap, deadline, overload — whether it was answered
+	// with a refusal or a stale result; Degraded counts stale results
+	// served with `"degraded": true` while shedding or with a breaker
+	// open.
 	Shed     atomic.Int64
 	Degraded atomic.Int64
 
@@ -135,7 +136,8 @@ type Metrics struct {
 	// into an error instead of a dead process.
 	Panics atomic.Int64
 
-	// InFlight gauges requests admitted and not yet answered.
+	// InFlight gauges HTTP requests past the tenant check and not yet
+	// answered (the gate's own depth counts predictions).
 	InFlight atomic.Int64
 
 	// Latency is end-to-end request latency (admission to response

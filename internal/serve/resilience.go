@@ -10,47 +10,16 @@ import (
 	"maya"
 )
 
-// ResilienceConfig shapes one deterministic chaos run: a virtual-time
-// discrete-event walk of the service control plane — the real
-// Shedder, Breaker and degradeCache implementations on an injected
-// clock — against a modeled predictor dependency whose behavior comes
-// from the ChaosPlan. Predictions are modeled as a fixed service time
-// (the emulate-the-node/model-the-boundary split: the policy layer is
-// exercised for real, the dependency is modeled), so the whole run is
-// a pure function of the config and plan seed — bit-identical across
-// reruns, per the repo's determinism discipline.
-type ResilienceConfig struct {
-	// Plan is the chaos scenario (required; predict-target events
-	// apply).
-	Plan *ChaosPlan
-	// Workers is the prediction pool size (default 4).
-	Workers int
-	// Service is the modeled per-prediction service time (default
-	// 10ms).
-	Service time.Duration
-	// Arrival is the inter-arrival time of requests; Service/Workers
-	// is exactly saturation, half of that is 2x overload (default:
-	// saturation).
-	Arrival time.Duration
-	// Duration bounds the run in virtual time (default 8s).
-	Duration time.Duration
-	// Deadline is every request's deadline (default 250ms).
-	Deadline time.Duration
-	// Keys rotates requests across this many distinct prediction
-	// identities (default 4) — the degrade cache's working set.
-	Keys int
-	// Bucket is the goodput-timeline bucket width (default 100ms).
-	Bucket time.Duration
-
-	// Control-plane knobs; zero values take the server defaults.
-	ShedTarget       time.Duration
-	ShedInterval     time.Duration
-	BreakerThreshold int
-	BreakerProbe     time.Duration
-	// FailFast is how quickly the dependency answers an injected
-	// error or outage (default 1ms).
-	FailFast time.Duration
-}
+// The virtual-time chaos run's fixed shape. Everything else — worker
+// count, deadline (DefaultDeadline), breaker probe and every other
+// control-plane setting — comes from the Config under test.
+const (
+	resilienceService  = 10 * time.Millisecond // modeled prediction service time
+	resilienceDuration = 8 * time.Second       // arrivals stop here
+	resilienceKeys     = 4                     // distinct prediction identities
+	resilienceBucket   = 100 * time.Millisecond
+	resilienceFailFast = time.Millisecond // how fast an injected fault answers
+)
 
 // ResilienceBucket is one goodput-timeline slot.
 type ResilienceBucket struct {
@@ -69,7 +38,7 @@ type ResilienceReport struct {
 	Requests int `json:"requests"`
 	OK       int `json:"ok"`       // fresh predictions served
 	Degraded int `json:"degraded"` // stale results served during shed/open
-	Shed     int `json:"shed"`     // 429-class rejections (no stale cover)
+	Shed     int `json:"shed"`     // shed verdicts refused (no stale cover)
 	Rejected int `json:"rejected"` // breaker short-circuits (no stale cover)
 	Failed   int `json:"failed"`   // dependency errors + deadline expiries
 
@@ -121,140 +90,84 @@ func (h *completionHeap) Pop() any         { old := *h; n := len(old); x := old[
 func (h completionHeap) peek() *completion { return &h[0] }
 
 // RunResilience executes one deterministic chaos run and reports
-// goodput, shed/degraded/failed classes and recovery time. The same
-// config (including the plan seed) always produces a byte-identical
-// report.
-func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
-	if cfg.Plan == nil {
+// goodput, shed/degraded/failed classes and recovery time: a
+// virtual-time discrete-event walk of the server's own gate — built
+// from cfg through the same defaults as New, on a virtual clock —
+// against a modeled predictor dependency driven by cfg.Chaos. It is
+// the emulate-the-node/model-the-boundary split: every admission,
+// shed, breaker and degrade decision is the gate's; the walk models
+// only what the gate does not decide — arrivals at 2x saturation, the
+// pool's FIFO workers, the dependency's service time under the plan,
+// and deadline expiry. Coalescing is not modeled (each arrival is its
+// own call). The same config (including the plan seed) always
+// produces a byte-identical report.
+func RunResilience(cfg Config) (*ResilienceReport, error) {
+	if cfg.Chaos == nil {
 		return nil, errors.New("serve: resilience run needs a chaos plan")
 	}
-	if err := cfg.Plan.Validate(); err != nil {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Service <= 0 {
-		cfg.Service = 10 * time.Millisecond
-	}
-	if cfg.Arrival <= 0 {
-		cfg.Arrival = cfg.Service / time.Duration(cfg.Workers)
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 8 * time.Second
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 250 * time.Millisecond
-	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = 4
-	}
-	if cfg.Bucket <= 0 {
-		cfg.Bucket = 100 * time.Millisecond
-	}
-	if cfg.ShedTarget <= 0 {
-		cfg.ShedTarget = defaultShedTarget
-	}
-	if cfg.ShedInterval <= 0 {
-		cfg.ShedInterval = defaultShedInterval
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = defaultBreakerThreshold
-	}
-	if cfg.BreakerProbe <= 0 {
-		cfg.BreakerProbe = defaultBreakerProbe
-	}
-	if cfg.FailFast <= 0 {
-		cfg.FailFast = time.Millisecond
-	}
+	plan, deadline := cfg.Chaos, cfg.DefaultDeadline
+	arrival := resilienceService / time.Duration(2*cfg.Workers)
 
-	// The real control-plane components on a virtual clock.
 	base := time.Unix(0, 0).UTC()
 	var vnow time.Duration
-	clock := func() time.Time { return base.Add(vnow) }
-	shed := NewShedder(cfg.ShedTarget, cfg.ShedInterval)
-	shed.now = clock
-	br := NewBreaker("predict", cfg.BreakerThreshold, cfg.BreakerProbe)
-	br.now = clock
-	stale := newDegradeCache(cfg.Keys)
-	stale.now = clock
+	g := newGate(cfg, func() time.Time { return base.Add(vnow) }, &Metrics{})
 	staleReport := &maya.Report{} // counted, never inspected
 
 	workers := make([]time.Duration, cfg.Workers) // per-worker free-at
 	var pending completionHeap
-	inSystem := 0
 	var calls uint64
 
 	rep := &ResilienceReport{}
-	nBuckets := int(cfg.Duration/cfg.Bucket) + 1
-	// Generous tail: completions can land past Duration.
-	buckets := make([]ResilienceBucket, nBuckets+int(cfg.Deadline/cfg.Bucket)+2)
+	// Generous tail: completions can land past the last arrival.
+	buckets := make([]ResilienceBucket, int((resilienceDuration+deadline)/resilienceBucket)+3)
 	bucketOf := func(t time.Duration) *ResilienceBucket {
-		i := int(t / cfg.Bucket)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(buckets) {
-			i = len(buckets) - 1
-		}
-		return &buckets[i]
+		return &buckets[min(int(t/resilienceBucket), len(buckets)-1)]
 	}
 	var accepted []time.Duration // time-to-response of OK + degraded
 
-	// drain processes completions due at or before t, in (time, seq)
-	// order: the completion's effects — EWMA update, breaker
-	// observation, stale-cache refresh — happen at its own virtual
-	// time, as they would in the live server.
+	// drain leaves the gate for every completion due at or before t,
+	// in (time, seq) order, each at its own virtual time — as the live
+	// server would.
 	drain := func(t time.Duration) {
 		for len(pending) > 0 && pending.peek().at <= t {
 			c := heap.Pop(&pending).(completion)
 			vnow = c.at
-			inSystem--
-			shed.Observe(c.service)
-			br.Observe(c.outcome)
-			if c.outcome == breakerSuccess {
-				stale.put(c.key, staleReport)
-			}
+			g.leave(g.pbreaker, c.key, c.outcome, staleReport, c.service)
 		}
 		vnow = t
 	}
 
 	for seq := 0; ; seq++ {
-		t := time.Duration(seq) * cfg.Arrival
-		if t >= cfg.Duration {
+		t := time.Duration(seq) * arrival
+		if t >= resilienceDuration {
 			break
 		}
 		drain(t)
 		rep.Requests++
-		key := fmt.Sprintf("k%d", seq%cfg.Keys)
+		key := fmt.Sprintf("k%d", seq%resilienceKeys)
 
-		// Stage 1: shedding (queue-delay + deadline-aware).
-		est := shed.EstimateWait(inSystem, cfg.Workers)
-		if v := shed.Decide(est, cfg.Deadline); v != ShedAdmit {
-			if _, _, ok := stale.get(key); ok {
+		if res, ok := g.enter(g.pbreaker, key, deadline); !ok {
+			b := bucketOf(t)
+			switch {
+			case res.Degraded:
 				rep.Degraded++
-				bucketOf(t).Degraded++
+				b.Degraded++
 				accepted = append(accepted, 0)
-			} else {
+			case res.shed != "":
 				rep.Shed++
-				bucketOf(t).Shed++
-			}
-			continue
-		}
-		// Stage 2: circuit breaker, degrading when open.
-		if !br.Allow() {
-			if _, _, ok := stale.get(key); ok {
-				rep.Degraded++
-				bucketOf(t).Degraded++
-				accepted = append(accepted, 0)
-			} else {
+				b.Shed++
+			default:
 				rep.Rejected++
-				bucketOf(t).Rejected++
+				b.Rejected++
 			}
 			continue
 		}
-		// Stage 3: the modeled dependency call on the earliest-free
-		// worker (ties to the lowest index — deterministic).
+		// The modeled dependency call on the earliest-free worker
+		// (ties to the lowest index — deterministic).
 		w := 0
 		for i := 1; i < cfg.Workers; i++ {
 			if workers[i] < workers[w] {
@@ -263,54 +176,42 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 		}
 		start := max(t, workers[w])
 		calls++
-		var c completion
-		c.seq = seq
-		c.key = key
-		if e := cfg.Plan.effect(ChaosTargetPredict, start, calls); e != nil {
-			switch e.Kind {
-			case ChaosOutage, ChaosError, ChaosPanic:
-				// Fail fast: the dependency answers an error (or a
-				// recovered panic) almost immediately.
-				c.at = start + cfg.FailFast
-				c.service = cfg.FailFast
-				c.outcome = breakerFailure
-				rep.Failed++
-				bucketOf(c.at).Failed++
-			case ChaosLatency:
-				svc := cfg.Service + time.Duration(e.LatencyMS)*time.Millisecond
-				c.at = start + svc
-				c.service = svc
-				c.outcome = breakerSuccess
-			}
-		} else {
-			c.at = start + cfg.Service
-			c.service = cfg.Service
-			c.outcome = breakerSuccess
-		}
-		if c.outcome == breakerSuccess {
-			if c.at-t > cfg.Deadline {
-				// The request's context expires first: a 504, and the
-				// worker is released at the cancellation point.
-				c.at = t + cfg.Deadline
-				c.service = c.at - start
-				c.outcome = breakerAborted
-				rep.Failed++
-				bucketOf(c.at).Failed++
+		c := completion{seq: seq, key: key, service: resilienceService, outcome: breakerSuccess}
+		if e := plan.effect(ChaosTargetPredict, start, calls); e != nil {
+			if e.Kind == ChaosLatency {
+				c.service += time.Duration(e.LatencyMS) * time.Millisecond
 			} else {
-				rep.OK++
-				bucketOf(c.at).OK++
-				accepted = append(accepted, c.at-t)
+				// Outage, error or panic: the dependency answers an
+				// error (or a recovered panic) almost immediately.
+				c.service, c.outcome = resilienceFailFast, breakerFailure
 			}
+		}
+		c.at = start + c.service
+		switch {
+		case c.outcome == breakerFailure:
+			rep.Failed++
+			bucketOf(c.at).Failed++
+		case c.at-t > deadline:
+			// The request's context expires first: a 504, and the
+			// worker is released at the cancellation point.
+			c.at = t + deadline
+			c.service = c.at - start
+			c.outcome = breakerAborted
+			rep.Failed++
+			bucketOf(c.at).Failed++
+		default:
+			rep.OK++
+			bucketOf(c.at).OK++
+			accepted = append(accepted, c.at-t)
 		}
 		workers[w] = c.at
-		inSystem++
 		heap.Push(&pending, c)
 	}
-	drain(cfg.Duration + cfg.Deadline + time.Second) // flush everything
+	drain(resilienceDuration + deadline + time.Second) // flush everything
 
-	rep.BreakerTrips = br.Trips()
-	rep.BreakerProbes = br.Probes()
-	rep.BreakerRecoveries = br.Recoveries()
+	rep.BreakerTrips = g.pbreaker.Trips()
+	rep.BreakerProbes = g.pbreaker.Probes()
+	rep.BreakerRecoveries = g.pbreaker.Recoveries()
 
 	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
 	if n := len(accepted); n > 0 {
@@ -320,47 +221,42 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 
 	// Pre-fault goodput and recovery, against the plan's fault span.
 	firstFrom, lastUntil := int64(-1), int64(-1)
-	for _, e := range cfg.Plan.Events {
+	for _, e := range plan.Events {
 		if firstFrom < 0 || e.FromMS < firstFrom {
 			firstFrom = e.FromMS
 		}
 		until := e.UntilMS
 		if until == 0 {
-			until = cfg.Duration.Milliseconds()
+			until = resilienceDuration.Milliseconds()
 		}
-		if until > lastUntil {
-			lastUntil = until
-		}
+		lastUntil = max(lastUntil, until)
 	}
 	trim := len(buckets)
-	for trim > 0 && buckets[trim-1] == (ResilienceBucket{StartMS: buckets[trim-1].StartMS}) {
+	for trim > 0 && buckets[trim-1] == (ResilienceBucket{}) {
 		trim--
 	}
+	bucketMS := resilienceBucket.Milliseconds()
 	for i := range buckets {
-		buckets[i].StartMS = int64(i) * cfg.Bucket.Milliseconds()
+		buckets[i].StartMS = int64(i) * bucketMS
 	}
 	rep.Buckets = buckets[:trim]
 	if firstFrom > 0 {
-		var pre int
-		var preBuckets int
+		var pre, preBuckets int
 		for _, b := range rep.Buckets {
-			if b.StartMS+cfg.Bucket.Milliseconds() <= firstFrom {
+			if b.StartMS+bucketMS <= firstFrom {
 				pre += b.OK
 				preBuckets++
 			}
 		}
 		if preBuckets > 0 {
-			rep.PreFaultGoodputRPS = float64(pre) / (float64(preBuckets) * cfg.Bucket.Seconds())
+			rep.PreFaultGoodputRPS = float64(pre) / (float64(preBuckets) * resilienceBucket.Seconds())
 		}
 	}
 	rep.RecoveryMS = -1
 	if lastUntil >= 0 && rep.PreFaultGoodputRPS > 0 {
-		want := 0.9 * rep.PreFaultGoodputRPS * cfg.Bucket.Seconds()
+		want := 0.9 * rep.PreFaultGoodputRPS * resilienceBucket.Seconds()
 		for _, b := range rep.Buckets {
-			if b.StartMS < lastUntil {
-				continue
-			}
-			if float64(b.OK) >= want {
+			if b.StartMS >= lastUntil && float64(b.OK) >= want {
 				rep.RecoveryMS = b.StartMS - lastUntil
 				break
 			}

@@ -15,20 +15,15 @@ func outagePlan() *ChaosPlan {
 	}}
 }
 
-// acceptanceConfig drives the service at 2x saturation: 4 workers at
-// 10ms service absorb one arrival per 2.5ms; arrivals come every
-// 1.25ms.
-func acceptanceConfig() ResilienceConfig {
-	return ResilienceConfig{
-		Plan:         outagePlan(),
-		Workers:      4,
-		Service:      10 * time.Millisecond,
-		Arrival:      1250 * time.Microsecond,
-		Duration:     8 * time.Second,
-		Deadline:     250 * time.Millisecond,
-		Keys:         4,
-		Bucket:       100 * time.Millisecond,
-		BreakerProbe: 500 * time.Millisecond,
+// acceptanceConfig is the server config under chaos: RunResilience
+// drives it at 2x saturation — 4 workers at 10ms service absorb one
+// arrival per 2.5ms; arrivals come every 1.25ms.
+func acceptanceConfig() Config {
+	return Config{
+		Chaos:           outagePlan(),
+		Workers:         4,
+		DefaultDeadline: 250 * time.Millisecond,
+		BreakerProbe:    500 * time.Millisecond,
 	}
 }
 
@@ -64,7 +59,7 @@ func TestResilienceAcceptance(t *testing.T) {
 	}
 	// Bounded latency: every accepted response (fresh or degraded)
 	// answered within the deadline — nothing rotted in the queue.
-	if ms := float64(cfg.Deadline.Milliseconds()); rep.P99ResponseMS > ms {
+	if ms := float64(cfg.DefaultDeadline.Milliseconds()); rep.P99ResponseMS > ms {
 		t.Errorf("p99 response %.1fms exceeds the %gms deadline", rep.P99ResponseMS, ms)
 	}
 	// Goodput recovery: back to >= 90% of pre-fault within one probe
@@ -72,7 +67,7 @@ func TestResilienceAcceptance(t *testing.T) {
 	if rep.PreFaultGoodputRPS <= 0 {
 		t.Fatalf("no pre-fault goodput measured: %+v", rep)
 	}
-	maxRecovery := (cfg.BreakerProbe + cfg.Bucket).Milliseconds()
+	maxRecovery := (cfg.BreakerProbe + resilienceBucket).Milliseconds()
 	if rep.RecoveryMS < 0 || rep.RecoveryMS > maxRecovery {
 		t.Errorf("recovery took %dms, want within %dms", rep.RecoveryMS, maxRecovery)
 	}
@@ -105,7 +100,7 @@ func TestResilienceDeterministic(t *testing.T) {
 			{Kind: ChaosError, Target: ChaosTargetPredict, FromMS: 1000, UntilMS: 7000, Fraction: 0.2},
 		}}
 		cfg := acceptanceConfig()
-		cfg.Plan = plan
+		cfg.Chaos = plan
 		rep, err := RunResilience(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -122,10 +117,10 @@ func TestResilienceDeterministic(t *testing.T) {
 }
 
 func TestResilienceValidation(t *testing.T) {
-	if _, err := RunResilience(ResilienceConfig{}); err == nil {
+	if _, err := RunResilience(Config{}); err == nil {
 		t.Error("run without a plan accepted")
 	}
-	bad := ResilienceConfig{Plan: &ChaosPlan{Events: []ChaosEvent{{Kind: "meteor"}}}}
+	bad := Config{Chaos: &ChaosPlan{Events: []ChaosEvent{{Kind: "meteor"}}}}
 	if _, err := RunResilience(bad); err == nil {
 		t.Error("run with an invalid plan accepted")
 	}

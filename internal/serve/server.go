@@ -1,11 +1,14 @@
 // Package serve is Maya's multi-tenant prediction service layer: an
 // HTTP/JSON front over one shared maya.Predictor, built for heavy
-// interactive what-if traffic. A request flows admission → coalesce →
-// pool → predict:
+// interactive what-if traffic. A request flows admission → gate →
+// coalesce → pool → predict:
 //
-//   - Admission: a per-tenant token bucket (X-Maya-Tenant) in front of
-//     a bounded service-wide queue — fairness first, then load-shedding
-//     instead of unbounded queueing.
+//   - Admission: a per-tenant token bucket (X-Maya-Tenant), charged
+//     once per HTTP request — fairness first.
+//   - Gate: each prediction is counted in flight and then decided
+//     once — queue cap, deadline and overload shedding, the circuit
+//     breaker — with a stale cached answer standing in for a refusal
+//     when one exists (see gate.go).
 //   - Coalescing: concurrent identical predictions single-flight into
 //     one execution, on top of the predictor's fingerprinted capture
 //     cache — N identical in-flight requests pay one capture and one
@@ -56,8 +59,9 @@ type Config struct {
 	Profile maya.ProfileKind
 	// Workers bounds concurrent predictions (default GOMAXPROCS).
 	Workers int
-	// Queue bounds admitted-but-unfinished requests (default
-	// 4*Workers).
+	// Queue caps predictions in flight — admitted and unfinished, a
+	// batch of k counting k, captures counting too; an arrival beyond
+	// it is shed with 503 (default 4*Workers).
 	Queue int
 	// TenantRate and TenantBurst shape the per-tenant token bucket:
 	// sustained predictions/sec and burst allowance. TenantRate <= 0
@@ -103,7 +107,8 @@ type Config struct {
 	StatePath string
 	// Chaos, when set, wraps the predictor dependency in a
 	// fault-injecting shim driven by the plan — the test-only chaos
-	// harness behind cmd/maya-serve's -chaos flag.
+	// harness behind cmd/maya-serve's -chaos flag, and the plan
+	// RunResilience replays on virtual time.
 	Chaos *ChaosPlan
 	// Logf, when set, receives operational log lines (evictions,
 	// snapshot recovery problems). nil discards them.
@@ -111,14 +116,15 @@ type Config struct {
 }
 
 // Server is the service instance: one predictor, its caches, and the
-// admission/coalescing/pool machinery. Create with New, expose with
-// Handler, warm with Warm, retire with Drain.
+// admission/gate/coalescing/pool machinery. Create with New, expose
+// with Handler, warm with Warm, retire with Drain.
 type Server struct {
 	cfg     Config
 	pred    *maya.Predictor
 	backend backend // the predictor, or the chaos shim around it
 	chaos   *chaosBackend
 	adm     *Admission
+	gate    *gate // capacity, shedding, breakers, degradation
 	pool    *Pool
 	co      *coalescer
 	metrics *Metrics
@@ -127,12 +133,6 @@ type Server struct {
 	build   buildinfo.Info
 	started time.Time
 
-	// Resilience layer: queue-delay shedding, per-dependency circuit
-	// breakers and the stale-result degradation cache.
-	shed      *Shedder
-	pbreaker  *Breaker // guards Predict
-	cbreaker  *Breaker // guards Capture
-	degrade   *degradeCache
 	snapStats SnapshotStats
 	stateMu   sync.Mutex // serializes snapshot writes
 
@@ -145,14 +145,6 @@ type Server struct {
 	testGate func()
 }
 
-// Resilience defaults, shared with the virtual-time harness.
-const (
-	defaultShedTarget       = 150 * time.Millisecond
-	defaultShedInterval     = time.Second
-	defaultBreakerThreshold = 5
-	defaultBreakerProbe     = time.Second
-)
-
 // logfTo logs through an optional sink.
 func logfTo(logf func(string, ...any), format string, args ...any) {
 	if logf != nil {
@@ -160,10 +152,10 @@ func logfTo(logf func(string, ...any), format string, args ...any) {
 	}
 }
 
-// New builds a Server for the cluster. It trains nothing: call Warm
-// to pay estimator training at boot instead of on the first learned
-// request.
-func New(cfg Config) (*Server, error) {
+// withDefaults fills every unset optional field and validates the
+// chaos plan. New and RunResilience both build from it, so the
+// virtual-time harness runs the server's own defaults.
+func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -186,24 +178,35 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxDeadline = 2 * time.Minute
 	}
 	if cfg.ShedTarget <= 0 {
-		cfg.ShedTarget = defaultShedTarget
+		cfg.ShedTarget = 150 * time.Millisecond
 	}
 	if cfg.ShedInterval <= 0 {
-		cfg.ShedInterval = defaultShedInterval
+		cfg.ShedInterval = time.Second
 	}
 	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = defaultBreakerThreshold
+		cfg.BreakerThreshold = 5
 	}
 	if cfg.BreakerProbe <= 0 {
-		cfg.BreakerProbe = defaultBreakerProbe
+		cfg.BreakerProbe = time.Second
 	}
 	if cfg.DegradeCacheSize <= 0 {
 		cfg.DegradeCacheSize = 256
 	}
 	if cfg.Chaos != nil {
 		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, err
+			return cfg, err
 		}
+	}
+	return cfg, nil
+}
+
+// New builds a Server for the cluster. It trains nothing: call Warm
+// to pay estimator training at boot instead of on the first learned
+// request.
+func New(cfg Config) (*Server, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	popts := []maya.PredictorOption{
 		maya.WithEstimatorCache(maya.NewEstimatorCache()),
@@ -233,23 +236,20 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:      cfg,
-		pred:     pred,
-		backend:  pred,
-		adm:      NewAdmission(cfg.Queue, cfg.TenantRate, cfg.TenantBurst),
-		pool:     NewPool(cfg.Workers),
-		co:       newCoalescer(),
-		metrics:  &Metrics{},
-		store:    store,
-		mux:      http.NewServeMux(),
-		build:    buildinfo.Get(),
-		started:  time.Now(),
-		shed:     NewShedder(cfg.ShedTarget, cfg.ShedInterval),
-		pbreaker: NewBreaker("predict", cfg.BreakerThreshold, cfg.BreakerProbe),
-		cbreaker: NewBreaker("capture", cfg.BreakerThreshold, cfg.BreakerProbe),
-		degrade:  newDegradeCache(cfg.DegradeCacheSize),
+		cfg:       cfg,
+		pred:      pred,
+		backend:   pred,
+		adm:       NewAdmission(cfg.TenantRate, cfg.TenantBurst),
+		pool:      NewPool(cfg.Workers),
+		co:        newCoalescer(),
+		metrics:   &Metrics{},
+		store:     store,
+		mux:       http.NewServeMux(),
+		build:     buildinfo.Get(),
+		started:   time.Now(),
+		snapStats: snapStats,
 	}
-	s.snapStats = snapStats
+	s.gate = newGate(cfg, time.Now, s.metrics)
 	s.store.onEvict = func(meta TraceMeta) {
 		logfTo(cfg.Logf, "serve: trace store at capacity, evicted %s (%s on %s, %d bytes)",
 			meta.Fingerprint, meta.Workload, meta.Cluster, meta.SizeBytes)
@@ -480,51 +480,87 @@ func (s *Server) requestCtx(r *http.Request, specs []PredictSpec) (context.Conte
 	return context.WithTimeout(r.Context(), d)
 }
 
-// predictOutcome is what a coalescing flight produces.
+// predictOutcome is what a coalescing flight produces: the report,
+// how long the leader waited for a worker, and how long the predictor
+// call itself took (zero if it panicked).
 type predictOutcome struct {
 	report      *maya.Report
 	queueWaitMS float64
+	service     time.Duration
 }
 
-// handlePredict serves POST /v1/predict: admission, then each spec
-// through coalesce → pool → predict. Batch items are isolated — one
-// failing spec reports its own error, its neighbors still answer.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+// begin runs the preamble shared by the endpoints that do predictor
+// work: the draining 503, the 1 MiB body read, parse (which returns
+// how many predictions the body asks for — the tenant's charge), and
+// the tenant bucket's 429. Once past them it starts the in-flight
+// gauge and the latency clock and returns their end, which the caller
+// must defer; nil means the request was already answered.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, parse func(body []byte) (n int, err error)) (end func()) {
 	s.metrics.Requests.Add(1)
 	if s.draining.Load() {
 		s.countStatus(http.StatusServiceUnavailable)
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return nil
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		s.countStatus(http.StatusBadRequest)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
+		return nil
 	}
-	specs, batch, err := parsePredictBody(body)
+	n, err := parse(body)
 	if err != nil {
 		s.countStatus(http.StatusBadRequest)
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-
-	release, err := s.adm.Admit(tenantOf(r), len(specs))
-	if err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrThrottled) {
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", "1")
-		}
-		s.countStatus(status)
-		writeError(w, status, "%v", err)
-		return
+	if err := s.adm.Admit(tenantOf(r), n); err != nil {
+		s.countStatus(http.StatusTooManyRequests)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "%v", err)
+		return nil
 	}
-	defer release()
 	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
 	start := time.Now()
-	defer func() { s.metrics.Latency.observe(float64(time.Since(start).Nanoseconds()) / 1e6) }()
+	return func() {
+		s.metrics.InFlight.Add(-1)
+		s.metrics.Latency.observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	}
+}
+
+// refusalHeaders sets a gate answer's X-Maya-Shed and Retry-After.
+func refusalHeaders(w http.ResponseWriter, res *PredictResult) {
+	if res.shed != "" {
+		w.Header().Set("X-Maya-Shed", res.shed)
+	}
+	if res.retryAfterS > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(res.retryAfterS))
+	}
+}
+
+// remainingOf is the time left before ctx's deadline (0 = none).
+func remainingOf(ctx context.Context) time.Duration {
+	if dl, ok := ctx.Deadline(); ok {
+		return time.Until(dl)
+	}
+	return 0
+}
+
+// handlePredict serves POST /v1/predict: each spec through gate →
+// coalesce → pool → predict. Batch items are isolated — one failing
+// spec reports its own error, its neighbors still answer.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	var specs []PredictSpec
+	var batch bool
+	end := s.begin(w, r, func(body []byte) (int, error) {
+		var err error
+		specs, batch, err = parsePredictBody(body)
+		return len(specs), err
+	})
+	if end == nil {
+		return
+	}
+	defer end()
 
 	ctx, cancel := s.requestCtx(r, specs)
 	defer cancel()
@@ -555,12 +591,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	res := results[0]
 	s.countStatus(res.status)
-	if res.shed != "" {
-		w.Header().Set("X-Maya-Shed", res.shed)
-	}
-	if res.retryAfterS > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(res.retryAfterS))
-	}
+	refusalHeaders(w, &res)
 	writeJSON(w, res.status, res)
 }
 
@@ -571,32 +602,15 @@ func (s *Server) recovered(v any) error {
 	return fmt.Errorf("internal error: prediction panicked: %v", v)
 }
 
-// degradedResult answers with the stale cached report for key, marked
-// degraded, when one exists — the graceful path behind an open
-// breaker or an overloaded queue.
-func (s *Server) degradedResult(key string) (PredictResult, bool) {
-	rep, age, ok := s.degrade.get(key)
-	if !ok {
-		return PredictResult{}, false
-	}
-	s.metrics.Degraded.Add(1)
-	s.degrade.serves.Add(1)
-	return PredictResult{
-		Report:   rep,
-		Degraded: true,
-		StaleMS:  float64(age.Nanoseconds()) / 1e6,
-		status:   http.StatusOK,
-	}, true
-}
-
-// predictOne runs one spec through shed → breaker → coalesce → pool →
-// predict. Panics are recovered into 500s at two layers: inside the
-// pool closure, so a crashing leader still completes its coalescing
-// flight (followers get the error instead of waiting on a flight that
-// never finishes), and around the whole path, because batch items run
-// on their own goroutines where an unrecovered panic kills the
-// process. Shed and breaker rejections fall back to the stale-result
-// cache before answering 429/503.
+// predictOne runs one spec through gate → coalesce → pool → predict.
+// The gate answers refusals itself (stale 200, shed 429/503, breaker
+// 503); an admitted prediction leaves the gate exactly once, deferred
+// so even an escaping panic releases its in-flight count. Panics are
+// recovered into 500s at two layers: inside the pool closure, so a
+// crashing leader still completes its coalescing flight (followers
+// get the error instead of waiting on a flight that never finishes),
+// and around the whole path, because batch items run on their own
+// goroutines where an unrecovered panic kills the process.
 func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res PredictResult) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -609,44 +623,20 @@ func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res Predict
 		return PredictResult{Error: err.Error(), status: http.StatusBadRequest}
 	}
 	key := spec.predictKey(s.cfg.Cluster, w)
-
-	// Overload shedding: estimate the queue wait this request would
-	// face and refuse early — stale answer if we have one, 429 with a
-	// Retry-After hint otherwise — rather than let it rot in the queue.
-	est := s.shed.EstimateWait(s.adm.Depth(), s.pool.Workers())
-	var remaining time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		remaining = time.Until(dl)
-	}
-	if v := s.shed.Decide(est, remaining); v != ShedAdmit {
-		s.metrics.Shed.Add(1)
-		s.metrics.QueueWaitAtReject.observe(float64(est.Nanoseconds()) / 1e6)
-		if res, ok := s.degradedResult(key); ok {
-			res.shed = v.String()
-			return res
-		}
-		msg := fmt.Sprintf("overloaded: estimated queue wait %v above target %v",
-			est.Round(time.Millisecond), s.shed.Target())
-		if v == ShedDeadline {
-			msg = fmt.Sprintf("estimated queue wait %v exceeds remaining deadline %v",
-				est.Round(time.Millisecond), remaining.Round(time.Millisecond))
-		}
-		return PredictResult{
-			Error:       msg,
-			status:      http.StatusTooManyRequests,
-			shed:        v.String(),
-			retryAfterS: retryAfterS(est),
-		}
+	g := s.gate
+	if refusal, ok := g.enter(g.pbreaker, key, remainingOf(ctx)); !ok {
+		return refusal
 	}
 
-	// Circuit breaker: a broken predictor fails fast into the stale
-	// cache instead of burning pool slots on doomed calls.
-	if !s.pbreaker.Allow() {
-		if res, ok := s.degradedResult(key); ok {
-			return res
-		}
-		return PredictResult{Error: "predictor circuit open", status: http.StatusServiceUnavailable}
-	}
+	// Every admitted caller reports — including coalescing followers,
+	// whose shared error is evidence too, and a half-open probe whose
+	// caller got cancelled (aborted releases the probe slot so the
+	// breaker cannot wedge half-open). Only the leader's execution
+	// feeds the service-time estimate.
+	var rep *maya.Report
+	var svc time.Duration
+	outcome := breakerFailure // stands if the path below panics
+	defer func() { g.leave(g.pbreaker, key, outcome, rep, svc) }()
 	out, shared, err := s.co.do(ctx, key, func() (*predictOutcome, error) {
 		o := &predictOutcome{}
 		var perr error
@@ -665,25 +655,26 @@ func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res Predict
 			s.metrics.Executed.Add(1)
 			execStart := time.Now()
 			o.report, perr = s.backend.Predict(ctx, w, opts...)
-			s.shed.Observe(time.Since(execStart))
+			o.service = time.Since(execStart)
 		})
 		if runErr != nil {
 			return nil, runErr
 		}
 		return o, perr
 	})
-	// Every Allow()ed caller observes — including coalescing followers,
-	// whose shared error is evidence too, and crucially a half-open
-	// probe whose caller got cancelled (aborted releases the probe slot
-	// so the breaker cannot wedge half-open).
-	s.pbreaker.Observe(outcomeOf(err))
+	outcome = outcomeOf(err)
+	if out != nil {
+		rep = out.report
+		if !shared {
+			svc = out.service
+		}
+	}
 	if shared {
 		s.metrics.Coalesced.Add(1)
 	}
 	if err != nil {
 		return PredictResult{Error: err.Error(), Coalesced: shared, status: statusFor(err)}
 	}
-	s.degrade.put(key, out.report)
 	return PredictResult{
 		Report:      out.report,
 		Coalesced:   shared,
@@ -693,43 +684,21 @@ func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res Predict
 }
 
 // handleCapture serves POST /v1/capture: run (or reuse) the capture
-// for a spec, archive its serialized form in the trace store, and
-// answer with the fingerprint handle GET /v1/traces accepts.
+// for a spec through the gate (capture breaker, no stale fallback),
+// archive its serialized form in the trace store, and answer with the
+// fingerprint handle GET /v1/traces accepts.
 func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	if s.draining.Load() {
-		s.countStatus(http.StatusServiceUnavailable)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
 	var spec PredictSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return
-	}
-	release, err := s.adm.Admit(tenantOf(r), 1)
-	if err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrThrottled) {
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", "1")
+	end := s.begin(w, r, func(body []byte) (int, error) {
+		if err := json.Unmarshal(body, &spec); err != nil {
+			return 0, fmt.Errorf("malformed request body: %v", err)
 		}
-		s.countStatus(status)
-		writeError(w, status, "%v", err)
+		return 1, nil
+	})
+	if end == nil {
 		return
 	}
-	defer release()
-	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
-	start := time.Now()
-	defer func() { s.metrics.Latency.observe(float64(time.Since(start).Nanoseconds()) / 1e6) }()
+	defer end()
 
 	ctx, cancel := s.requestCtx(r, []PredictSpec{spec})
 	defer cancel()
@@ -740,9 +709,11 @@ func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.cbreaker.Allow() {
-		s.countStatus(http.StatusServiceUnavailable)
-		writeError(w, http.StatusServiceUnavailable, "capture circuit open")
+	g := s.gate
+	if refusal, ok := g.enter(g.cbreaker, "", remainingOf(ctx)); !ok {
+		s.countStatus(refusal.status)
+		refusalHeaders(w, &refusal)
+		writeError(w, refusal.status, "%s", refusal.Error)
 		return
 	}
 	var tr *maya.Trace
@@ -761,7 +732,7 @@ func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
 	}); runErr != nil {
 		capErr = runErr
 	}
-	s.cbreaker.Observe(outcomeOf(capErr))
+	g.leave(g.cbreaker, "", outcomeOf(capErr), nil, 0)
 	if capErr != nil {
 		status := statusFor(capErr)
 		s.countStatus(status)
@@ -895,12 +866,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		EstimatorCache: s.pred.EstimatorCache().Stats(),
 		CaptureCache:   s.pred.CaptureCache().Stats(),
 		TracesStored:   s.store.len(),
-		Shedding:       s.shed.Shedding(),
+		Shedding:       s.gate.shed.Shedding(),
 		Breakers: map[string]string{
-			s.pbreaker.Name(): s.pbreaker.State().String(),
-			s.cbreaker.Name(): s.cbreaker.State().String(),
+			s.gate.pbreaker.Name(): s.gate.pbreaker.State().String(),
+			s.gate.cbreaker.Name(): s.gate.cbreaker.State().String(),
 		},
-		DegradeEntries:  s.degrade.len(),
+		DegradeEntries:  s.gate.degrade.len(),
 		TracesRecovered: s.snapStats.Loaded,
 		TracesSkipped:   s.snapStats.Skipped,
 	})
@@ -934,8 +905,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("maya_serve_pool_busy", int64(s.pool.Busy()))
 	counter("maya_serve_pool_waiting", int64(s.pool.Waiting()))
 	counter("maya_serve_pool_completed_total", s.pool.Completed())
-	counter("maya_serve_admission_depth", int64(s.adm.Depth()))
-	counter("maya_serve_admission_capacity", int64(s.adm.Capacity()))
+	counter("maya_serve_admission_depth", int64(s.gate.depth()))
+	counter("maya_serve_admission_capacity", int64(s.cfg.Queue))
 	counter("maya_serve_traces_stored", int64(s.store.len()))
 	counter("maya_serve_trace_store_evictions_total", s.store.Evictions())
 	fmt.Fprintf(&b, "maya_serve_uptime_seconds %g\n", time.Since(s.started).Seconds())
@@ -964,20 +935,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("maya_serve_shed_total", m.Shed.Load())
 	counter("maya_serve_degraded_total", m.Degraded.Load())
 	shedding := int64(0)
-	if s.shed.Shedding() {
+	if s.gate.shed.Shedding() {
 		shedding = 1
 	}
 	counter("maya_serve_shedding", shedding)
-	for _, br := range []*Breaker{s.pbreaker, s.cbreaker} {
+	for _, br := range []*Breaker{s.gate.pbreaker, s.gate.cbreaker} {
 		fmt.Fprintf(&b, "maya_serve_breaker_state{dep=%q} %d\n", br.Name(), int(br.State()))
 		fmt.Fprintf(&b, "maya_serve_breaker_trips_total{dep=%q} %d\n", br.Name(), br.Trips())
 		fmt.Fprintf(&b, "maya_serve_breaker_probes_total{dep=%q} %d\n", br.Name(), br.Probes())
 		fmt.Fprintf(&b, "maya_serve_breaker_recoveries_total{dep=%q} %d\n", br.Name(), br.Recoveries())
 		fmt.Fprintf(&b, "maya_serve_breaker_rejected_total{dep=%q} %d\n", br.Name(), br.Rejected())
 	}
-	counter("maya_serve_degrade_cache_entries", int64(s.degrade.len()))
-	counter("maya_serve_degrade_hits_total", s.degrade.hits.Load())
-	counter("maya_serve_degrade_misses_total", s.degrade.misses.Load())
+	counter("maya_serve_degrade_cache_entries", int64(s.gate.degrade.len()))
+	counter("maya_serve_degrade_hits_total", s.gate.degrade.hits.Load())
+	counter("maya_serve_degrade_misses_total", s.gate.degrade.misses.Load())
 	if s.chaos != nil {
 		counter("maya_serve_chaos_injected_total", s.chaos.injected.Load())
 	}

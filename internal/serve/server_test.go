@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,34 +277,112 @@ func TestTenantThrottling(t *testing.T) {
 	}
 }
 
+// TestQueueFullRejects drives the queue-cap shed verdict over HTTP:
+// with one prediction in flight and Queue 1, an uncached arrival
+// answers 503 with X-Maya-Shed: queue, and a cached identity degrades
+// to a stale 200 the way every shed verdict does.
 func TestQueueFullRejects(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.Queue = 1
 	})
+	// A healthy request seeds the degrade cache for its identity.
+	if resp, raw := postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warmup predict: %d (%s)", resp.StatusCode, raw)
+	}
 	release := make(chan struct{})
 	s.testGate = func() { <-release }
 
+	holder := smallSpec()
+	holder.MicroBatches = 4
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
+		resp, _ := postJSON(t, ts.URL+"/v1/predict", holder, nil)
 		done <- resp.StatusCode
 	}()
-	// Wait until the first request holds the only admission slot.
+	// Wait until the holder is the one prediction in flight.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.adm.Depth() == 0 {
+	for s.gate.depth() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request never admitted")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, raw := postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
+	uncached := smallSpec()
+	uncached.MicroBatches = 8
+	resp, raw := postJSON(t, ts.URL+"/v1/predict", uncached, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status with full queue = %d, want 503 (%s)", resp.StatusCode, raw)
+	}
+	if got := resp.Header.Get("X-Maya-Shed"); got != "queue" {
+		t.Errorf("X-Maya-Shed = %q, want queue", got)
+	}
+
+	resp, raw = postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
+	var res PredictResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !res.Degraded || res.Report == nil {
+		t.Fatalf("cached identity with full queue: status %d, degraded %v (%s)", resp.StatusCode, res.Degraded, raw)
+	}
+	if got := resp.Header.Get("X-Maya-Shed"); got != "queue" {
+		t.Errorf("degraded X-Maya-Shed = %q, want queue", got)
 	}
 	close(release)
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("held request finished with %d", code)
+	}
+	if got := s.gate.depth(); got != 0 {
+		t.Errorf("in-flight depth after the holder finished = %d, want 0", got)
+	}
+}
+
+// TestBatchDepthCountsPredictions holds a batch of k distinct
+// predictions on the test gate: each is its own prediction in flight,
+// so the gate — and maya_serve_admission_depth — shows depth k, not 1.
+func TestBatchDepthCountsPredictions(t *testing.T) {
+	const k = 3
+	s, ts := newTestServer(t, nil) // 4 workers: all k reach the gate
+	var entered atomic.Int64
+	release := make(chan struct{})
+	s.testGate = func() {
+		entered.Add(1)
+		<-release
+	}
+	specs := make([]PredictSpec, k)
+	for i := range specs {
+		specs[i] = smallSpec()
+		specs[i].MicroBatches = 1 << i // distinct identities: no coalescing
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postJSON(t, ts.URL+"/v1/predict", batchEnvelope{Requests: specs}, nil)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load() < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d batch items reached the gate", entered.Load(), k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.gate.depth(); got != k {
+		t.Errorf("gate depth = %d, want %d", got, k)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("maya_serve_admission_depth %d\n", k); !strings.Contains(string(raw), want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+	close(release)
+	<-done
+	if got := s.gate.depth(); got != 0 {
+		t.Errorf("depth after the batch = %d, want 0", got)
 	}
 }
 

@@ -22,6 +22,10 @@ const (
 	// service is past saturation and admitting more only grows the
 	// queue.
 	ShedOverload
+	// ShedQueue rejects an arrival that would put more predictions in
+	// flight than the configured queue cap: the hard backstop behind
+	// the delay-based rules, answered 503.
+	ShedQueue
 )
 
 func (v ShedVerdict) String() string {
@@ -32,6 +36,8 @@ func (v ShedVerdict) String() string {
 		return "deadline"
 	case ShedOverload:
 		return "overload"
+	case ShedQueue:
+		return "queue"
 	}
 	return "invalid"
 }
@@ -57,6 +63,10 @@ func (v ShedVerdict) String() string {
 //     target — transient bursts shorter than the interval are
 //     absorbed by the queue, exactly CoDel's good-queue/bad-queue
 //     distinction.
+//
+// Ahead of both sits the queue cap (ShedQueue): a hard bound on
+// predictions in flight, for when the estimate is still cold or
+// service times collapse faster than the EWMA follows.
 //
 // The clock is injectable for deterministic tests and the
 // virtual-time resilience harness.
@@ -155,6 +165,18 @@ func (s *Shedder) Decide(est, remaining time.Duration) ShedVerdict {
 		return ShedOverload
 	}
 	return ShedAdmit
+}
+
+// Verdict is the whole shedding decision for an arrival that makes
+// inSystem predictions in flight (itself included): ShedQueue past the
+// queue cap, otherwise Decide on the estimated wait. It returns the
+// estimate alongside, for the refusal's Retry-After.
+func (s *Shedder) Verdict(inSystem, workers, queue int, remaining time.Duration) (ShedVerdict, time.Duration) {
+	est := s.EstimateWait(inSystem, workers)
+	if inSystem > queue {
+		return ShedQueue, est
+	}
+	return s.Decide(est, remaining), est
 }
 
 // Shedding reports whether the shedder is currently in sustained

@@ -55,6 +55,42 @@ func TestShedderDeadlineVerdict(t *testing.T) {
 	}
 }
 
+// TestShedderVerdicts tables Verdict, the shedder's whole decision:
+// the queue cap (the in-flight count includes the arrival) comes
+// first, then the deadline rule on the wait estimate.
+func TestShedderVerdicts(t *testing.T) {
+	cases := []struct {
+		name                     string
+		inSystem, workers, queue int
+		remaining                time.Duration
+		want                     ShedVerdict
+		wantEst                  time.Duration
+	}{
+		// The former slot-queue bound: with a cap of 2, the first two
+		// arrivals fit, the third is refused, and once one finishes
+		// the next fits again.
+		{"first of two slots", 1, 1, 2, 0, ShedAdmit, 0},
+		{"second of two slots", 2, 1, 2, 0, ShedAdmit, 40 * time.Millisecond},
+		{"past the cap", 3, 1, 2, 0, ShedQueue, 80 * time.Millisecond},
+		{"after a release", 2, 1, 2, 0, ShedAdmit, 40 * time.Millisecond},
+		// The cap wins even when the deadline would also refuse.
+		{"cap before deadline", 3, 1, 2, time.Millisecond, ShedQueue, 80 * time.Millisecond},
+		{"doomed under the cap", 2, 1, 2, 10 * time.Millisecond, ShedDeadline, 40 * time.Millisecond},
+		{"free workers", 4, 4, 16, time.Millisecond, ShedAdmit, 0},
+	}
+	for _, c := range cases {
+		s := NewShedder(time.Second, time.Second)
+		s.Observe(40 * time.Millisecond)
+		v, est := s.Verdict(c.inSystem, c.workers, c.queue, c.remaining)
+		if v != c.want || est != c.wantEst {
+			t.Errorf("%s: Verdict = %v, %v; want %v, %v", c.name, v, est, c.want, c.wantEst)
+		}
+	}
+	if got := ShedQueue.String(); got != "queue" {
+		t.Errorf("ShedQueue.String() = %q, want queue", got)
+	}
+}
+
 // TestShedderSustainedOverload exercises the CoDel criterion on an
 // injected clock: above-target estimates must persist for the full
 // interval before shedding starts, and shedding stops the moment the
@@ -126,9 +162,9 @@ func TestShedOverHTTP(t *testing.T) {
 	}
 	// Make the service look expensive (10s per prediction) and occupy
 	// the only worker, so any queued arrival faces a hopeless wait.
-	s.shed.mu.Lock()
-	s.shed.avgSvcNS = float64((10 * time.Second).Nanoseconds())
-	s.shed.mu.Unlock()
+	s.gate.shed.mu.Lock()
+	s.gate.shed.avgSvcNS = float64((10 * time.Second).Nanoseconds())
+	s.gate.shed.mu.Unlock()
 	release := make(chan struct{})
 	var relOnce sync.Once
 	releaseHolder := func() { relOnce.Do(func() { close(release) }) }
@@ -142,7 +178,7 @@ func TestShedOverHTTP(t *testing.T) {
 		postJSON(t, ts.URL+"/v1/predict", holder, nil)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.adm.Depth() == 0 {
+	for s.gate.depth() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("holder never admitted")
 		}
